@@ -16,9 +16,12 @@ vet:
 # concurrency-heavy packages (distance cascade, index search and shards,
 # HTTP middleware/observability, replication, live feeds), the
 # crash-recovery, replication and feed fault-injection matrices, and the
-# coverage ratchet.
+# coverage ratchet. The e2ebench/ benchmark harness is its own module
+# (the root `go build ./...` never compiles it), so it is vetted and
+# tested separately against this tree.
 test: vet
 	go test ./...
+	cd e2ebench && go vet ./... && go test ./...
 	go test -race ./internal/dist ./internal/index ./internal/server ./internal/replica ./internal/feed
 	$(MAKE) chaos
 	$(MAKE) chaos-replica

@@ -384,7 +384,7 @@ func BenchmarkCascadeKNNExact(b *testing.B) {
 		name string
 		mut  func(*index.Config)
 	}{
-		{"stage=exact", func(c *index.Config) { c.DisableCascade = true }},
+		{"stage=exact", func(c *index.Config) { c.Cascade = dist.ExactOnly(dist.EGEDMZero) }},
 		{"stage=cascade", nil},
 		{"stage=cached", func(c *index.Config) { c.Cache = core.NewDistCache(core.DefaultDistCacheSize) }},
 	} {
@@ -520,7 +520,7 @@ func BenchmarkCascadeRange(b *testing.B) {
 		name string
 		mut  func(*index.Config)
 	}{
-		{"stage=exact", func(c *index.Config) { c.DisableCascade = true }},
+		{"stage=exact", func(c *index.Config) { c.Cascade = dist.ExactOnly(dist.EGEDMZero) }},
 		{"stage=cascade", nil},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

@@ -1,5 +1,8 @@
-// Command strg-query runs k-NN, range and declarative queries against a
-// database persisted by strg-ingest.
+// Command strg-query runs declarative queries against a database
+// persisted by strg-ingest. The -traj flags build a similarity query
+// (k-NN, exact k-NN, range or approximate k-NN); -query/-query-file take
+// a full JSON DSL document. Either way the query runs through one
+// planner and reports its plan alongside the matches.
 //
 // The query trajectory is given as semicolon-separated x,y samples:
 //
@@ -15,7 +18,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +28,6 @@ import (
 
 	"strgindex/internal/core"
 	"strgindex/internal/dist"
-	"strgindex/internal/index"
 	"strgindex/internal/query"
 )
 
@@ -70,30 +71,19 @@ func main() {
 		seq = dist.Resample(seq, *samples)
 	}
 
-	var matches []core.Match
+	sim := &query.SimilarClause{Trajectory: seq}
 	switch {
 	case *radius > 0:
-		matches = db.QueryRange(seq, *radius)
-		fmt.Printf("range query (radius %.1f): %d hits\n", *radius, len(matches))
+		sim.Radius = *radius
 	case *approx:
-		var st index.SearchStats
-		var info *core.ApproxInfo
-		matches, st, info, err = db.QueryTrajectoryApproxStatsCtx(context.Background(), seq, *k, *nprobe)
-		fail(err)
-		fmt.Printf("approximate %d-NN: probed %d/%d lists, reranked %d candidates (recall proxy %.2f, %d DP evals)\n",
-			*k, info.Probed, info.Lists, info.Candidates, info.RecallProxy, st.DPEvaluated)
-	case *exact:
-		matches = db.QueryTrajectoryExact(seq, *k)
-		fmt.Printf("exact %d-NN:\n", *k)
+		sim.K, sim.Mode, sim.NProbe = *k, query.ModeApprox, *nprobe
 	default:
-		matches = db.QueryTrajectory(seq, *k)
-		fmt.Printf("%d-NN (Algorithm 3):\n", *k)
+		sim.K, sim.Exact = *k, *exact
 	}
-	printMatches(matches)
+	runQuery(db, &query.Query{Similar: sim})
 }
 
-// runDSL parses, plans and executes one declarative query, then reports
-// the plan and its per-stage accounting alongside the matches.
+// runDSL reads and parses one declarative query document and runs it.
 func runDSL(db *core.VideoDB, inline, file string) {
 	doc := []byte(inline)
 	if file != "" {
@@ -110,6 +100,12 @@ func runDSL(db *core.VideoDB, inline, file string) {
 	}
 	q, err := query.Parse(doc)
 	fail(err)
+	runQuery(db, q)
+}
+
+// runQuery plans and executes one declarative query, then reports the
+// plan and its per-stage accounting alongside the matches.
+func runQuery(db *core.VideoDB, q *query.Query) {
 	res, err := db.QueryComposed(q)
 	fail(err)
 
@@ -123,6 +119,10 @@ func runDSL(db *core.VideoDB, inline, file string) {
 	fmt.Println()
 	for _, st := range res.Stages {
 		fmt.Printf("  stage %-16s in %6d  out %6d  (%s)\n", st.Name, st.In, st.Out, st.Duration.Round(10*time.Microsecond))
+	}
+	if a := res.Approx; a != nil {
+		fmt.Printf("  probed %d/%d lists, reranked %d candidates (recall proxy %.2f, %d DP evals)\n",
+			a.Probed, a.Lists, a.Candidates, a.RecallProxy, res.Search.DPEvaluated)
 	}
 	if res.Truncated {
 		fmt.Printf("%d matches (of %d; truncated at limit %d):\n", len(res.Matches), res.Total, res.Limit)

@@ -8,8 +8,19 @@ import (
 	"strgindex/internal/dist"
 	"strgindex/internal/geom"
 	"strgindex/internal/graph"
+	"strgindex/internal/query"
 	"strgindex/internal/video"
 )
+
+// similar runs one pure-similarity query through the declarative surface.
+func similar(t *testing.T, db *core.VideoDB, c query.SimilarClause) []core.Match {
+	t.Helper()
+	res, err := db.QueryComposed(&query.Query{Similar: &c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Matches
+}
 
 // TestEndToEndRetrievalQuality is the repository's cross-module smoke
 // test: generate a stream, ingest it through the whole pipeline, query
@@ -59,7 +70,7 @@ func TestEndToEndRetrievalQuality(t *testing.T) {
 		if !present {
 			continue
 		}
-		matches := db.QueryTrajectoryExact(seq, 3)
+		matches := similar(t, db, query.SimilarClause{Trajectory: seq, K: 3, Exact: true})
 		if len(matches) == 0 {
 			t.Errorf("%s: no matches", q.name)
 			continue
@@ -94,8 +105,8 @@ func TestEndToEndPersistenceAndRequery(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := dist.Sequence{{10, 90}, {160, 92}, {310, 94}}
-	a := db.QueryTrajectory(q, 4)
-	b := loaded.QueryTrajectory(q, 4)
+	a := similar(t, db, query.SimilarClause{Trajectory: q, K: 4})
+	b := similar(t, loaded, query.SimilarClause{Trajectory: q, K: 4})
 	if len(a) != len(b) {
 		t.Fatalf("match counts differ: %d vs %d", len(a), len(b))
 	}

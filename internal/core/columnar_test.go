@@ -70,8 +70,8 @@ func TestV1SnapshotStillLoads(t *testing.T) {
 		t.Fatalf("v1 container rejected: %v", err)
 	}
 	q := toSeq([][2]float64{{20, 20}, {60, 60}, {100, 100}})
-	want := old.QueryTrajectoryExact(q, 5)
-	got := db.QueryTrajectoryExact(q, 5)
+	want := knnExact(t, old, q, 5)
+	got := knnExact(t, db, q, 5)
 	if len(got) != len(want) {
 		t.Fatalf("loaded db returned %d matches, want %d", len(got), len(want))
 	}

@@ -2,17 +2,19 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
 	"strgindex/internal/dist"
 	"strgindex/internal/geom"
+	"strgindex/internal/index"
 	"strgindex/internal/query"
 )
 
 // composedDB ingests one deterministic lab stream (the same corpus the
-// legacy Select tests use) into a database with the trajectory index on.
+// motion-predicate tests use) into a database with the trajectory index on.
 func composedDB(t *testing.T, mut func(*Config)) *VideoDB {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -24,6 +26,67 @@ func composedDB(t *testing.T, mut func(*Config)) *VideoDB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// querier is the query surface VideoDB and SharedDB share.
+type querier interface {
+	QueryComposedCtx(ctx context.Context, q *query.Query) (*QueryResult, error)
+}
+
+// similar runs one pure-similarity query through QueryComposedCtx,
+// returning its matches and search accounting.
+func similar(ctx context.Context, db querier, c query.SimilarClause) ([]Match, index.SearchStats, error) {
+	res, err := db.QueryComposedCtx(ctx, &query.Query{Similar: &c})
+	if err != nil {
+		return nil, index.SearchStats{}, err
+	}
+	return res.Matches, res.Search, nil
+}
+
+// mustSimilar is similar reporting failure through t.Errorf, so it is safe
+// to call from test-spawned goroutines.
+func mustSimilar(t testing.TB, db querier, c query.SimilarClause) []Match {
+	t.Helper()
+	ms, _, err := similar(context.Background(), db, c)
+	if err != nil {
+		t.Errorf("similar query %+v: %v", c, err)
+	}
+	return ms
+}
+
+// knn, knnExact and rangeOf are mustSimilar for the three index-routed
+// similarity forms: Algorithm 3's k-NN, the exact k-NN and the range
+// search.
+func knn(t testing.TB, db querier, seq dist.Sequence, k int) []Match {
+	t.Helper()
+	return mustSimilar(t, db, query.SimilarClause{Trajectory: seq, K: k})
+}
+
+func knnExact(t testing.TB, db querier, seq dist.Sequence, k int) []Match {
+	t.Helper()
+	return mustSimilar(t, db, query.SimilarClause{Trajectory: seq, K: k, Exact: true})
+}
+
+func rangeOf(t testing.TB, db querier, seq dist.Sequence, radius float64) []Match {
+	t.Helper()
+	return mustSimilar(t, db, query.SimilarClause{Trajectory: seq, Radius: radius})
+}
+
+// scanWhere is the where-query reference: a plain scan of the retained
+// OGs with the compiled matcher, in ingest order with distance 0.
+func scanWhere(t *testing.T, db *VideoDB, where query.Node) []Match {
+	t.Helper()
+	m, err := query.NewMatcher(&query.Query{Where: where}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Match
+	for i, og := range db.OGs() {
+		if m.Match(og) {
+			out = append(out, Match{Record: db.records[i]})
+		}
+	}
+	return out
 }
 
 // composed runs one declarative query and fails the test on error.
@@ -38,8 +101,8 @@ func composed(t *testing.T, db *VideoDB, q *query.Query) *QueryResult {
 
 // TestQueryComposedMatchesLegacySelect: for every where-tree shape, the
 // planner-executed query must return exactly what the legacy predicate
-// scan returns — same records, same ingest order. The planner only
-// changes how much work is done, never the answer.
+// scan (scanWhere) returns — same records, same ingest order. The
+// planner only changes how much work is done, never the answer.
 func TestQueryComposedMatchesLegacySelect(t *testing.T) {
 	db := composedDB(t, nil)
 	if err := db.CheckSpatialIndex(); err != nil {
@@ -48,42 +111,30 @@ func TestQueryComposedMatchesLegacySelect(t *testing.T) {
 	center := geom.Rect{Min: geom.Pt(140, 0), Max: geom.Pt(180, 240)}
 	corner := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(60, 60)}
 	cases := []struct {
-		name   string
-		where  query.Node
-		legacy query.Predicate
+		name  string
+		where query.Node
 	}{
-		{"passes", query.SpatialNode{Kind: query.SpatialPasses, Rect: center},
-			query.PassesThrough(center)},
-		{"starts", query.SpatialNode{Kind: query.SpatialStarts, Rect: corner},
-			query.StartsIn(corner)},
-		{"ends", query.SpatialNode{Kind: query.SpatialEnds, Rect: corner},
-			query.EndsIn(corner)},
-		{"within", query.WithinNode{Rect: center, From: 0, To: 40},
-			query.WithinDuring(center, 0, 40)},
-		{"during", query.DuringNode{From: 10, To: 40},
-			query.During(10, 40)},
-		{"speed", query.SpeedNode{Lo: 2, Hi: math.Inf(1)},
-			query.SpeedBetween(2, math.Inf(1))},
-		{"u-turn", query.UTurnNode{MinTurn: math.Pi * 0.8},
-			query.TurnsBy(math.Pi * 0.8)},
-		{"not", query.NotNode{Child: query.SpatialNode{Kind: query.SpatialPasses, Rect: center}},
-			query.Not(query.PassesThrough(center))},
+		{"passes", query.SpatialNode{Kind: query.SpatialPasses, Rect: center}},
+		{"starts", query.SpatialNode{Kind: query.SpatialStarts, Rect: corner}},
+		{"ends", query.SpatialNode{Kind: query.SpatialEnds, Rect: corner}},
+		{"within", query.WithinNode{Rect: center, From: 0, To: 40}},
+		{"during", query.DuringNode{From: 10, To: 40}},
+		{"speed", query.SpeedNode{Lo: 2, Hi: math.Inf(1)}},
+		{"u-turn", query.UTurnNode{MinTurn: math.Pi * 0.8}},
+		{"not", query.NotNode{Child: query.SpatialNode{Kind: query.SpatialPasses, Rect: center}}},
 		{"composed", query.AndNode{Children: []query.Node{
 			query.SpatialNode{Kind: query.SpatialPasses, Rect: center},
 			query.OrNode{Children: []query.Node{
 				query.HeadingNode{Dir: "east", Angle: 0, Tol: 0.4},
 				query.HeadingNode{Dir: "west", Angle: math.Pi, Tol: 0.4},
 			}},
-		}}, query.And(
-			query.PassesThrough(center),
-			query.Or(query.Eastbound(0.4), query.Westbound(0.4)),
-		)},
+		}}},
 	}
 	for _, c := range cases {
 		res := composed(t, db, &query.Query{Where: c.where})
-		want := db.Select(c.legacy)
+		want := scanWhere(t, db, c.where)
 		if !reflect.DeepEqual(res.Matches, want) {
-			t.Errorf("%s (%s plan): %d matches, legacy Select %d",
+			t.Errorf("%s (%s plan): %d matches, reference scan %d",
 				c.name, res.Plan.Strategy, len(res.Matches), len(want))
 		}
 		if res.Total != len(want) || res.Truncated {
@@ -136,7 +187,7 @@ func TestQueryComposedPrunesCandidates(t *testing.T) {
 
 // TestQueryComposedPureSimilarByteIdentity: a query with no where tree
 // must route to the STRG-Index and produce byte-identical matches AND
-// byte-identical search accounting to the dedicated legacy surfaces.
+// byte-identical search accounting to calling the index kernels directly.
 func TestQueryComposedPureSimilarByteIdentity(t *testing.T) {
 	db := composedDB(t, nil)
 	traj := dist.Sequence{{16, 120}, {46, 120}, {76, 120}, {106, 120}}
@@ -158,29 +209,23 @@ func TestQueryComposedPureSimilarByteIdentity(t *testing.T) {
 		var wantStats any
 		switch {
 		case sim.Radius > 0:
-			m, st, err := db.QueryRangeStatsCtx(t.Context(), traj, sim.Radius)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantStats = m, st
-		case sim.Exact:
-			m, st, err := db.QueryTrajectoryExactStatsCtx(t.Context(), traj, sim.K)
+			m, st, err := db.rangeSearch(t.Context(), traj, sim.Radius)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, wantStats = m, st
 		default:
-			m, st, err := db.QueryTrajectoryStatsCtx(t.Context(), traj, sim.K)
+			m, st, err := db.knn(t.Context(), nil, traj, sim.K, sim.Exact)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, wantStats = m, st
 		}
 		if !reflect.DeepEqual(res.Matches, want) {
-			t.Errorf("%s: composed matches differ from the legacy surface", c.name)
+			t.Errorf("%s: composed matches differ from the index kernel's", c.name)
 		}
 		if !reflect.DeepEqual(res.Search, wantStats) {
-			t.Errorf("%s: SearchStats %+v, legacy %+v", c.name, res.Search, wantStats)
+			t.Errorf("%s: SearchStats %+v, kernel %+v", c.name, res.Search, wantStats)
 		}
 	}
 }
@@ -233,9 +278,8 @@ func TestQueryComposedSurvivesSaveLoad(t *testing.T) {
 		t.Errorf("loaded db returned %d matches, original %d", len(got.Matches), len(want.Matches))
 	}
 
-	legacy := re.Select(query.PassesThrough(rect))
-	if !reflect.DeepEqual(db.Select(query.PassesThrough(rect)), legacy) {
-		t.Error("legacy Select differs across the save/load round trip")
+	if !reflect.DeepEqual(scanWhere(t, re, q.Where), scanWhere(t, db, q.Where)) {
+		t.Error("reference scan differs across the save/load round trip")
 	}
 }
 

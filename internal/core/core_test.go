@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"strgindex/internal/dist"
 	"strgindex/internal/geom"
 	"strgindex/internal/graph"
+	"strgindex/internal/parallel"
 	"strgindex/internal/video"
 )
 
@@ -69,7 +72,7 @@ func TestQueryTrajectory(t *testing.T) {
 		x := 16 + float64(i)*(288.0/11.0)
 		q[i] = dist.Vec{x, 120}
 	}
-	got := db.QueryTrajectory(q, 3)
+	got := knn(t, db, q, 3)
 	if len(got) == 0 {
 		t.Fatal("no matches")
 	}
@@ -81,7 +84,7 @@ func TestQueryTrajectory(t *testing.T) {
 	if got[0].Record.Clip.Stream != "Mini" {
 		t.Errorf("clip stream = %q, want Mini", got[0].Record.Clip.Stream)
 	}
-	exact := db.QueryTrajectoryExact(q, 3)
+	exact := knnExact(t, db, q, 3)
 	if len(exact) != 3 {
 		t.Fatalf("exact returned %d", len(exact))
 	}
@@ -95,22 +98,20 @@ func TestQueryRange(t *testing.T) {
 	if err := db.IngestStream(miniStream(t, 10, 3)); err != nil {
 		t.Fatal(err)
 	}
-	all := db.QueryRange(dist.Sequence{{160, 120}}, 1e9)
+	all := rangeOf(t, db, dist.Sequence{{160, 120}}, 1e9)
 	if len(all) != db.Stats().OGs {
 		t.Errorf("huge-radius range returned %d, want all %d", len(all), db.Stats().OGs)
 	}
-	none := db.QueryRange(dist.Sequence{{160, 120}}, 1e-6)
+	none := rangeOf(t, db, dist.Sequence{{160, 120}}, 1e-6)
 	if len(none) != 0 {
 		t.Errorf("tiny-radius range returned %d", len(none))
 	}
 }
 
-func TestQuerySegment(t *testing.T) {
-	db := Open(DefaultConfig())
-	if err := db.IngestStream(miniStream(t, 12, 4)); err != nil {
-		t.Fatal(err)
-	}
-	// Build a fresh query segment with one eastbound walker.
+// walkerSegment builds a fresh query segment with one eastbound walker
+// over the mini stream's background.
+func walkerSegment(t *testing.T) *video.Segment {
+	t.Helper()
 	cfg := video.SceneConfig{
 		Name: "query", Width: 320, Height: 240, FPS: 12, Frames: 16,
 		BackgroundRows: 3, BackgroundCols: 4, Jitter: 0.8, Seed: 99,
@@ -125,11 +126,19 @@ func TestQuerySegment(t *testing.T) {
 			Start: 0, End: 16,
 		}},
 	}
-	qseg, err := video.Generate(cfg)
+	seg, err := video.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := db.QuerySegment(qseg, 3)
+	return seg
+}
+
+func TestQuerySegment(t *testing.T) {
+	db := Open(DefaultConfig())
+	if err := db.IngestStream(miniStream(t, 12, 4)); err != nil {
+		t.Fatal(err)
+	}
+	matches, err := db.QuerySegment(walkerSegment(t), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +149,34 @@ func TestQuerySegment(t *testing.T) {
 		if len(perOG) == 0 {
 			t.Error("an extracted query OG matched nothing")
 		}
+	}
+}
+
+// TestQuerySegmentReturnsWorkerPanic: a panic inside the search's worker
+// pool (here: the cluster-descent distance) is recovered by the pool and
+// must come back as QuerySegment's error, not re-panic in the caller.
+func TestQuerySegmentReturnsWorkerPanic(t *testing.T) {
+	var boom atomic.Bool
+	cfg := DefaultConfig()
+	cfg.Index.ClusterDistance = func(a, b dist.Sequence) float64 {
+		if boom.Load() {
+			panic("cluster distance exploded")
+		}
+		return dist.EGED(a, b)
+	}
+	db := Open(cfg)
+	if err := db.IngestStream(miniStream(t, 12, 4)); err != nil {
+		t.Fatal(err)
+	}
+	seg := walkerSegment(t)
+	boom.Store(true)
+	ms, err := db.QuerySegment(seg, 3)
+	if err == nil {
+		t.Fatalf("QuerySegment = %v, nil error; want the recovered panic", ms)
+	}
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) {
+		t.Errorf("err = %v, want a wrapped *parallel.PanicError", err)
 	}
 }
 
@@ -181,7 +218,7 @@ func TestStatsOnEmptyDatabase(t *testing.T) {
 	if st.OGs != 0 || st.Segments != 0 || st.Roots != 0 {
 		t.Errorf("empty stats = %+v", st)
 	}
-	if got := db.QueryTrajectory(dist.Sequence{{1, 1}}, 3); len(got) != 0 {
+	if got := knn(t, db, dist.Sequence{{1, 1}}, 3); len(got) != 0 {
 		t.Errorf("query on empty db = %v", got)
 	}
 	if got := db.OGs(); len(got) != 0 {

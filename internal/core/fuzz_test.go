@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"testing"
 
 	"strgindex/internal/dist"
+	"strgindex/internal/query"
 	"strgindex/internal/video"
 )
 
@@ -75,7 +77,11 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Fatalf("loaded database fails index invariants: %v", err)
 		}
 		q := dist.Sequence{{10, 10}, {40, 40}}
-		if got := db.QueryTrajectoryExact(q, 3); len(got) > db.Index().Len() {
+		got, _, err := similar(context.Background(), db, query.SimilarClause{Trajectory: q, K: 3, Exact: true})
+		if err != nil {
+			t.Fatalf("query on loaded database: %v", err)
+		}
+		if len(got) > db.Index().Len() {
 			t.Fatalf("query returned %d matches from %d items", len(got), db.Index().Len())
 		}
 		st := db.Stats()

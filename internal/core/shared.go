@@ -5,8 +5,6 @@ import (
 	"io"
 	"sync"
 
-	"strgindex/internal/dist"
-	"strgindex/internal/index"
 	"strgindex/internal/query"
 	"strgindex/internal/shot"
 	"strgindex/internal/video"
@@ -82,64 +80,13 @@ func (s *SharedDB) IngestVideo(stream string, seg *video.Segment, shotCfg shot.C
 	return n, err
 }
 
-// Similarity queries do not take the database lock: the sharded index
-// publishes immutable copy-on-write snapshots, so each search assembles a
-// consistent lock-free view and never waits on an in-flight ingest (the
-// distance cache is independently concurrency-safe). Only the scan-based
-// Select and the multi-field Stats/Save still synchronize with writers.
-
-// QueryTrajectory is VideoDB.QueryTrajectory, lock-free.
-func (s *SharedDB) QueryTrajectory(seq dist.Sequence, k int) []Match {
-	return s.db.QueryTrajectory(seq, k)
-}
-
-// QueryTrajectoryCtx is VideoDB.QueryTrajectoryCtx, lock-free.
-func (s *SharedDB) QueryTrajectoryCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, error) {
-	return s.db.QueryTrajectoryCtx(ctx, seq, k)
-}
-
-// QueryTrajectoryStatsCtx is VideoDB.QueryTrajectoryStatsCtx, lock-free.
-func (s *SharedDB) QueryTrajectoryStatsCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, index.SearchStats, error) {
-	return s.db.QueryTrajectoryStatsCtx(ctx, seq, k)
-}
-
-// QueryTrajectoryExact is VideoDB.QueryTrajectoryExact, lock-free.
-func (s *SharedDB) QueryTrajectoryExact(seq dist.Sequence, k int) []Match {
-	return s.db.QueryTrajectoryExact(seq, k)
-}
-
-// QueryTrajectoryExactCtx is VideoDB.QueryTrajectoryExactCtx, lock-free.
-func (s *SharedDB) QueryTrajectoryExactCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, error) {
-	return s.db.QueryTrajectoryExactCtx(ctx, seq, k)
-}
-
-// QueryTrajectoryExactStatsCtx is VideoDB.QueryTrajectoryExactStatsCtx,
-// lock-free.
-func (s *SharedDB) QueryTrajectoryExactStatsCtx(ctx context.Context, seq dist.Sequence, k int) ([]Match, index.SearchStats, error) {
-	return s.db.QueryTrajectoryExactStatsCtx(ctx, seq, k)
-}
-
-// QueryRange is VideoDB.QueryRange, lock-free.
-func (s *SharedDB) QueryRange(seq dist.Sequence, radius float64) []Match {
-	return s.db.QueryRange(seq, radius)
-}
-
-// QueryRangeCtx is VideoDB.QueryRangeCtx, lock-free.
-func (s *SharedDB) QueryRangeCtx(ctx context.Context, seq dist.Sequence, radius float64) ([]Match, error) {
-	return s.db.QueryRangeCtx(ctx, seq, radius)
-}
-
-// QueryRangeStatsCtx is VideoDB.QueryRangeStatsCtx, lock-free.
-func (s *SharedDB) QueryRangeStatsCtx(ctx context.Context, seq dist.Sequence, radius float64) ([]Match, index.SearchStats, error) {
-	return s.db.QueryRangeStatsCtx(ctx, seq, radius)
-}
-
-// QueryComposedCtx plans and executes one declarative query. A pure
-// similarity query (no where tree) stays lock-free — its plan routes to
-// the sharded index's copy-on-write snapshots exactly like the dedicated
-// QueryTrajectory*/QueryRange surfaces. Anything with a where tree scans
-// retained OGs (directly or through the trajectory R-tree) and takes the
-// read lock.
+// QueryComposedCtx is VideoDB.QueryComposedCtx for concurrent use. A pure
+// similarity query (no where tree) takes no database lock: the sharded
+// index publishes immutable copy-on-write snapshots, so each search
+// assembles a consistent lock-free view and never waits on an in-flight
+// ingest (the distance cache is independently concurrency-safe). Anything
+// with a where tree scans retained OGs (directly or through the
+// trajectory R-tree) and takes the read lock.
 func (s *SharedDB) QueryComposedCtx(ctx context.Context, q *query.Query) (*QueryResult, error) {
 	if err := query.Validate(q); err != nil {
 		return nil, err
@@ -157,20 +104,6 @@ func (s *SharedDB) CheckSpatialIndex() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.db.CheckSpatialIndex()
-}
-
-// Select is VideoDB.Select under a read lock.
-func (s *SharedDB) Select(p query.Predicate) []Match {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db.Select(p)
-}
-
-// SelectCtx is VideoDB.SelectCtx under a read lock.
-func (s *SharedDB) SelectCtx(ctx context.Context, p query.Predicate) ([]Match, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db.SelectCtx(ctx, p)
 }
 
 // Stats is VideoDB.Stats under a read lock.

@@ -49,11 +49,11 @@ func TestSharedDBConcurrentSearchDuringIngest(t *testing.T) {
 				}
 				switch (g + i) % 3 {
 				case 0:
-					db.QueryTrajectory(q, 3)
+					knn(t, db, q, 3)
 				case 1:
-					db.QueryTrajectoryExact(q, 3)
+					knnExact(t, db, q, 3)
 				default:
-					db.QueryRange(q, 200)
+					rangeOf(t, db, q, 200)
 				}
 			}
 		}(g)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -36,9 +37,11 @@ func TestSharedDBConcurrentQueriesDuringIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				s.QueryTrajectory(q, 3)
-				s.QueryRange(q, 500)
-				s.Select(query.LongerThan(2))
+				knn(t, s, q, 3)
+				rangeOf(t, s, q, 500)
+				if _, err := s.QueryComposedCtx(context.Background(), &query.Query{Where: query.LengthNode{Min: 2}}); err != nil {
+					t.Error(err)
+				}
 				s.Stats()
 			}
 		}()

@@ -173,12 +173,17 @@ func (db *VideoDB) QueryComposed(q *query.Query) (*QueryResult, error) {
 	return db.QueryComposedCtx(context.Background(), q)
 }
 
-// QueryComposedCtx plans and executes one declarative query: a pure
-// similarity query routes to the STRG-Index lower-bound cascade
-// (byte-identical to the QueryTrajectory*/QueryRange surfaces); anything
-// with a where tree runs the cost-based planner, probing the trajectory
-// R-tree when a selective spatial/temporal conjunct makes that cheaper
-// than a scan. Plans never change answers — only the work done.
+// QueryComposedCtx plans and executes one declarative query — the
+// database's one query entry point (QuerySegment aside). A pure
+// similarity query routes to the STRG-Index lower-bound cascade:
+// Algorithm 3's single-cluster k-NN, the exact all-cluster k-NN
+// (Exact), the range search (Radius) or, with mode "approx", the IVF
+// tier. Anything with a where tree runs the cost-based planner, probing
+// the trajectory R-tree when a selective spatial/temporal conjunct makes
+// that cheaper than a scan. Plans never change answers — only the work
+// done. A done ctx stops the search's worker pool from claiming further
+// work and returns ctx.Err(); a recovered worker panic is returned as an
+// error.
 func (db *VideoDB) QueryComposedCtx(ctx context.Context, q *query.Query) (*QueryResult, error) {
 	if err := query.Validate(q); err != nil {
 		return nil, err
@@ -192,7 +197,7 @@ func (db *VideoDB) QueryComposedCtx(ctx context.Context, q *query.Query) (*Query
 		}
 		query.ObservePlan(p)
 		c := q.Similar
-		ms, st, info, err := db.QueryTrajectoryApproxStatsCtx(ctx, c.Trajectory, c.K, p.NProbe)
+		ms, st, info, err := db.approxKNN(ctx, c.Trajectory, c.K, p.NProbe)
 		if err != nil {
 			return nil, err
 		}
@@ -212,11 +217,9 @@ func (db *VideoDB) QueryComposedCtx(ctx context.Context, q *query.Query) (*Query
 		var err error
 		switch {
 		case c.Radius > 0:
-			ms, st, err = db.QueryRangeStatsCtx(ctx, c.Trajectory, c.Radius)
-		case c.Exact:
-			ms, st, err = db.QueryTrajectoryExactStatsCtx(ctx, c.Trajectory, c.K)
+			ms, st, err = db.rangeSearch(ctx, c.Trajectory, c.Radius)
 		default:
-			ms, st, err = db.QueryTrajectoryStatsCtx(ctx, c.Trajectory, c.K)
+			ms, st, err = db.knn(ctx, nil, c.Trajectory, c.K, c.Exact)
 		}
 		if err != nil {
 			return nil, err

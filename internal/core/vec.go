@@ -27,8 +27,8 @@ import (
 // nprobe >= NLists and monotone below it.
 //
 // The tier is strictly opt-in: it never changes the default query paths,
-// and it is only consulted by QueryTrajectoryApprox* (or a declarative
-// query that says `"mode": "approx"`).
+// and it is only consulted by a declarative query that says
+// `"mode": "approx"`.
 
 // ApproxConfig enables and parameterizes the approximate similarity tier.
 type ApproxConfig struct {
@@ -56,10 +56,10 @@ type ApproxConfig struct {
 	Seed int64
 }
 
-// ErrApproxDisabled is returned (wrapped) by every approximate-tier entry
-// point when the database was opened without Config.Approx.Enabled. The
-// HTTP layer maps it to a 400 with a stable error code, not a 500: asking
-// for a tier that is switched off is a client error.
+// ErrApproxDisabled is returned (wrapped) by a mode "approx" query when
+// the database was opened without Config.Approx.Enabled. The HTTP layer
+// maps it to a 400 with a stable error code, not a 500: asking for a tier
+// that is switched off is a client error.
 var ErrApproxDisabled = errors.New("core: approximate similarity tier disabled (set Config.Approx.Enabled)")
 
 // vecTier is the per-database state of the approximate tier: the IVF
@@ -170,9 +170,6 @@ func (db *VideoDB) defaultNProbe() int {
 	return int(math.Ceil(math.Sqrt(float64(db.vec.ivf.NLists()))))
 }
 
-// ApproxEnabled reports whether the approximate tier is available.
-func (db *VideoDB) ApproxEnabled() bool { return db.vec != nil }
-
 // ApproxLists returns the tier's inverted-list count and default probe
 // count (0, 0 when the tier is disabled). The planner's cost model reads
 // these through the query.ApproxSource interface.
@@ -183,25 +180,17 @@ func (db *VideoDB) ApproxLists() (nlists, defaultNProbe int) {
 	return db.vec.ivf.NLists(), db.defaultNProbe()
 }
 
-// QueryTrajectoryApprox is QueryTrajectoryApproxStatsCtx without
-// cancellation or accounting. nprobe <= 0 selects the configured default.
-func (db *VideoDB) QueryTrajectoryApprox(seq dist.Sequence, k, nprobe int) ([]Match, error) {
-	ms, _, _, err := db.QueryTrajectoryApproxStatsCtx(context.Background(), seq, k, nprobe)
-	return ms, err
-}
-
-// QueryTrajectoryApproxStatsCtx answers a k-NN query through the
-// approximate tier: embed the query, probe the nprobe nearest IVF lists,
-// rerank every candidate with the exact EGED_M cascade. Distances in the
-// result are exact; results are ordered by (distance, OGID). The returned
-// SearchStats follow the tree-search invariant — Records == CacheHits +
-// LBQuickPruned + LBEnvelopePruned + DPEvaluated + DPAbandoned — with
-// CandidateLeaves = total lists and ScannedLeaves = lists probed.
-func (db *VideoDB) QueryTrajectoryApproxStatsCtx(ctx context.Context, seq dist.Sequence, k, nprobe int) ([]Match, index.SearchStats, *ApproxInfo, error) {
+// approxKNN is the approximate-tier k-NN kernel behind QueryComposedCtx
+// (mode "approx"), which has already checked that the tier is enabled;
+// nprobe <= 0 selects the configured default. It embeds the query, probes
+// the nprobe nearest IVF lists and reranks every candidate with the exact
+// EGED_M cascade. Distances in the result are exact; results are ordered
+// by (distance, OGID). The returned SearchStats follow the tree-search
+// invariant — Records == CacheHits + LBQuickPruned + LBEnvelopePruned +
+// DPEvaluated + DPAbandoned — with CandidateLeaves = total lists and
+// ScannedLeaves = lists probed.
+func (db *VideoDB) approxKNN(ctx context.Context, seq dist.Sequence, k, nprobe int) ([]Match, index.SearchStats, *ApproxInfo, error) {
 	var st index.SearchStats
-	if db.vec == nil {
-		return nil, st, nil, ErrApproxDisabled
-	}
 	start := time.Now()
 	vt := db.vec
 	info := &ApproxInfo{Lists: vt.ivf.NLists()}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,21 +42,27 @@ func checkStatsInvariant(t *testing.T, st index.SearchStats) {
 	}
 }
 
-// TestApproxDisabledSentinel: without Config.Approx.Enabled, both the
-// direct API and a declarative "mode": "approx" query must fail with
-// ErrApproxDisabled — a configuration error the server maps to 400, never
-// a silent fallback to a different access path.
+// approxKNNQuery runs one mode "approx" k-NN through QueryComposedCtx;
+// nprobe 0 defers to the database default.
+func approxKNNQuery(ctx context.Context, db querier, traj dist.Sequence, k, nprobe int) ([]Match, index.SearchStats, *ApproxInfo, error) {
+	res, err := db.QueryComposedCtx(ctx, &query.Query{
+		Similar: &query.SimilarClause{Trajectory: traj, K: k, Mode: query.ModeApprox, NProbe: nprobe},
+	})
+	if err != nil {
+		return nil, index.SearchStats{}, nil, err
+	}
+	return res.Matches, res.Search, res.Approx, nil
+}
+
+// TestApproxDisabledSentinel: without Config.Approx.Enabled, a
+// declarative "mode": "approx" query must fail with ErrApproxDisabled — a
+// configuration error the server maps to 400, never a silent fallback to
+// a different access path.
 func TestApproxDisabledSentinel(t *testing.T) {
 	db := composedDB(t, nil)
 	traj := dist.Sequence{{16, 120}, {46, 120}, {76, 120}, {106, 120}}
-	if _, err := db.QueryTrajectoryApprox(traj, 5, 0); !errors.Is(err, ErrApproxDisabled) {
-		t.Errorf("direct API: err = %v, want ErrApproxDisabled", err)
-	}
-	_, err := db.QueryComposed(&query.Query{
-		Similar: &query.SimilarClause{Trajectory: traj, K: 5, Mode: query.ModeApprox},
-	})
-	if !errors.Is(err, ErrApproxDisabled) {
-		t.Errorf("composed: err = %v, want ErrApproxDisabled", err)
+	if _, _, _, err := approxKNNQuery(t.Context(), db, traj, 5, 0); !errors.Is(err, ErrApproxDisabled) {
+		t.Errorf("err = %v, want ErrApproxDisabled", err)
 	}
 }
 
@@ -76,7 +83,7 @@ func TestApproxFullProbeIsExact(t *testing.T) {
 	}
 	const k = 7
 	for qi, traj := range queries {
-		approx, st, info, err := db.QueryTrajectoryApproxStatsCtx(t.Context(), traj, k, nlists)
+		approx, st, info, err := approxKNNQuery(t.Context(), db, traj, k, nlists)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +94,7 @@ func TestApproxFullProbeIsExact(t *testing.T) {
 		if st.Records != db.Stats().OGs {
 			t.Errorf("query %d: full probe reranked %d of %d OGs", qi, st.Records, db.Stats().OGs)
 		}
-		exact, _, err := db.QueryTrajectoryExactStatsCtx(t.Context(), traj, k)
+		exact, _, err := similar(t.Context(), db, query.SimilarClause{Trajectory: traj, K: k, Exact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +122,7 @@ func TestApproxRecallMonotoneNProbe(t *testing.T) {
 	db := approxDB(t, nil)
 	traj := dist.Sequence{{16, 120}, {106, 120}, {200, 120}}
 	const k = 5
-	exact, _, err := db.QueryTrajectoryExactStatsCtx(t.Context(), traj, k)
+	exact, _, err := similar(t.Context(), db, query.SimilarClause{Trajectory: traj, K: k, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +132,7 @@ func TestApproxRecallMonotoneNProbe(t *testing.T) {
 	}
 	prev := -1.0
 	for nprobe := 1; nprobe <= db.vec.ivf.NLists(); nprobe++ {
-		ms, st, _, err := db.QueryTrajectoryApproxStatsCtx(t.Context(), traj, k, nprobe)
+		ms, st, _, err := approxKNNQuery(t.Context(), db, traj, k, nprobe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,27 +168,20 @@ func TestExactPathsByteIdenticalWithTierOn(t *testing.T) {
 		plain := composedDB(t, mut(false))
 		tiered := composedDB(t, mut(true))
 
-		type run func(db *VideoDB) ([]Match, index.SearchStats, error)
 		cases := []struct {
 			name string
-			run  run
+			sim  query.SimilarClause
 		}{
-			{"knn", func(db *VideoDB) ([]Match, index.SearchStats, error) {
-				return db.QueryTrajectoryStatsCtx(t.Context(), traj, 5)
-			}},
-			{"knn-exact", func(db *VideoDB) ([]Match, index.SearchStats, error) {
-				return db.QueryTrajectoryExactStatsCtx(t.Context(), traj, 5)
-			}},
-			{"range", func(db *VideoDB) ([]Match, index.SearchStats, error) {
-				return db.QueryRangeStatsCtx(t.Context(), traj, 950)
-			}},
+			{"knn", query.SimilarClause{Trajectory: traj, K: 5}},
+			{"knn-exact", query.SimilarClause{Trajectory: traj, K: 5, Exact: true}},
+			{"range", query.SimilarClause{Trajectory: traj, Radius: 950}},
 		}
 		for _, c := range cases {
-			wantM, wantSt, err := c.run(plain)
+			wantM, wantSt, err := similar(t.Context(), plain, c.sim)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotM, gotSt, err := c.run(tiered)
+			gotM, gotSt, err := similar(t.Context(), tiered, c.sim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +231,7 @@ func TestApproxComposedFlow(t *testing.T) {
 		t.Errorf("approx info = %+v, want full probe with proxy 1", res.Approx)
 	}
 	checkStatsInvariant(t, res.Search)
-	exact, _, err := db.QueryTrajectoryExactStatsCtx(t.Context(), traj, 5)
+	exact, _, err := similar(t.Context(), db, query.SimilarClause{Trajectory: traj, K: 5, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestApproxSnapshotCrossCompat(t *testing.T) {
 	if re.vec != nil {
 		t.Error("tier-disabled load materialized a vector tier")
 	}
-	if _, err := re.QueryTrajectoryApprox(traj, 5, 0); !errors.Is(err, ErrApproxDisabled) {
+	if _, _, _, err := approxKNNQuery(t.Context(), re, traj, 5, 0); !errors.Is(err, ErrApproxDisabled) {
 		t.Errorf("approx query on tier-disabled load: %v, want ErrApproxDisabled", err)
 	}
 
@@ -347,12 +347,12 @@ func TestApproxSnapshotCrossCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v2 container under tier config: %v", err)
 	}
-	ms, st, _, err := re.QueryTrajectoryApproxStatsCtx(t.Context(), traj, 5, re.vec.ivf.NLists())
+	ms, st, _, err := approxKNNQuery(t.Context(), re, traj, 5, re.vec.ivf.NLists())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkStatsInvariant(t, st)
-	exact, _, err := re.QueryTrajectoryExactStatsCtx(t.Context(), traj, 5)
+	exact, _, err := similar(t.Context(), re, query.SimilarClause{Trajectory: traj, K: 5, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,14 +421,14 @@ func TestIngestTrajectories(t *testing.T) {
 	}
 
 	q := ogs[17].Sequence()
-	exact, _, err := db.QueryTrajectoryExactStatsCtx(t.Context(), q, 3)
+	exact, _, err := similar(t.Context(), db, query.SimilarClause{Trajectory: q, K: 3, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(exact) != 3 || exact[0].Record.OGID != 17 || exact[0].Distance != 0 {
 		t.Errorf("self-query top hit = %+v, want OG 17 at distance 0", exact[0])
 	}
-	approx, st, _, err := db.QueryTrajectoryApproxStatsCtx(t.Context(), q, 3, db.vec.ivf.NLists())
+	approx, st, _, err := approxKNNQuery(t.Context(), db, q, 3, db.vec.ivf.NLists())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -465,9 +465,6 @@ func Lp(a, b Sequence, p float64) float64 {
 	return math.Pow(sum, 1/p)
 }
 
-// Euclidean is the L2 lock-step Metric.
-func Euclidean(a, b Sequence) float64 { return Lp(a, b, 2) }
-
 // totalEvals counts every top-level sequence-distance evaluation in the
 // process (EGED/EGED_M/ERP, DTW, LCS, edit distance, Lp) — the quantity
 // the paper's query-cost model treats as the dominant component of query

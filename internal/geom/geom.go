@@ -104,11 +104,6 @@ type Rect struct {
 	Min, Max Point
 }
 
-// RectAround returns the square of side 2r centered at p.
-func RectAround(p Point, r float64) Rect {
-	return Rect{Min: Point{p.X - r, p.Y - r}, Max: Point{p.X + r, p.Y + r}}
-}
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 

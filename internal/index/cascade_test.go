@@ -33,7 +33,7 @@ func buildCascadeTree(t *testing.T, seqs []dist.Sequence, workers int, mut func(
 func TestCascadeOnOffByteIdentical(t *testing.T) {
 	seqs := detSequences(150, 71)
 	queries := detSequences(12, 72)
-	ref := buildCascadeTree(t, seqs, 1, func(c *Config) { c.DisableCascade = true })
+	ref := buildCascadeTree(t, seqs, 1, func(c *Config) { c.Cascade = dist.ExactOnly(dist.EGEDMZero) })
 	for _, workers := range []int{0, 1, 2, 4} {
 		tr := buildCascadeTree(t, seqs, workers, nil)
 		for qi, q := range queries {
@@ -56,10 +56,7 @@ func TestCascadeOnOffByteIdentical(t *testing.T) {
 func TestCascadeDTWByteIdentical(t *testing.T) {
 	seqs := detSequences(100, 73)
 	queries := detSequences(8, 74)
-	ref := buildCascadeTree(t, seqs, 1, func(c *Config) {
-		c.Cascade = dist.DTWCascade()
-		c.DisableCascade = true
-	})
+	ref := buildCascadeTree(t, seqs, 1, func(c *Config) { c.Cascade = dist.ExactOnly(dist.DTW) })
 	tr := buildCascadeTree(t, seqs, 2, func(c *Config) { c.Cascade = dist.DTWCascade() })
 	for qi, q := range queries {
 		sameResults(t, labelf("q=%d KNNExact", qi), tr.KNNExact(nil, q, 7), ref.KNNExact(nil, q, 7))
@@ -114,7 +111,7 @@ func statsOf(t *testing.T, tr *Tree[int], q dist.Sequence, exact bool) SearchSta
 func TestCascadeReducesDPCells(t *testing.T) {
 	seqs := detSequences(250, 77)
 	queries := detSequences(10, 78)
-	exact := buildCascadeTree(t, seqs, 1, func(c *Config) { c.DisableCascade = true })
+	exact := buildCascadeTree(t, seqs, 1, func(c *Config) { c.Cascade = dist.ExactOnly(dist.EGEDMZero) })
 	casc := buildCascadeTree(t, seqs, 1, nil)
 
 	run := func(tr *Tree[int]) int64 {

@@ -93,21 +93,6 @@ func TestColumnarAfterChurn(t *testing.T) {
 	}
 }
 
-// TestSearchBatchByteIdentical: the KNNExact leaf-batching knob changes
-// scheduling granularity only, never results.
-func TestSearchBatchByteIdentical(t *testing.T) {
-	seqs := detSequences(120, 96)
-	queries := detSequences(6, 97)
-	ref := buildCascadeTree(t, seqs, 1, nil)
-	for _, batch := range []int{1, 3, 64} {
-		tr := buildCascadeTree(t, seqs, 4, func(c *Config) { c.SearchBatch = batch })
-		for qi, q := range queries {
-			sameResults(t, labelf("batch=%d q=%d", batch, qi),
-				tr.KNNExact(nil, q, 8), ref.KNNExact(nil, q, 8))
-		}
-	}
-}
-
 // TestColumnarSnapshotCrossRestore: a packed-columnar (v2) snapshot loads
 // into both columnar and non-columnar trees, a nested-Seqs (v1-form)
 // snapshot loads into both, and all four restores answer queries

@@ -63,14 +63,11 @@ type Config struct {
 	// Nil means: the default cascade for the default metric (EGED_M, zero
 	// gap) when Metric is nil, or exact-only evaluation when a custom
 	// Metric is set (its bounds are unknown). When Cascade is set and
-	// Metric is nil, the cascade's metric becomes the key metric. Results
-	// are byte-identical with the cascade on or off: bounds are
-	// admissible and abandonment only fires strictly above the pruning
-	// threshold.
+	// Metric is nil, the cascade's metric becomes the key metric;
+	// dist.ExactOnly(metric) switches the cascade off. Results are
+	// byte-identical with the cascade on or off: bounds are admissible and
+	// abandonment only fires strictly above the pruning threshold.
 	Cascade dist.Cascade
-	// DisableCascade forces exact-only evaluation even for the default
-	// metric (ablation/benchmark knob).
-	DisableCascade bool
 	// Cache is an optional distance cache for leaf scans. Nil disables
 	// caching. The cache must be scoped to this tree's key metric.
 	Cache DistCache
@@ -113,15 +110,11 @@ type Config struct {
 	// instead of the batched columnar one. The columnar kernels are
 	// bit-identical to the pointer-chasing ones and the quantized tier
 	// only pre-fires prunes the envelope bound would make anyway, so
-	// results AND SearchStats are byte-identical with the layer on or off
-	// — this is an ablation/benchmark knob, not a semantic one.
+	// results AND SearchStats are byte-identical with the layer on or off.
+	// It is not a deployment option: the row layout is the reference the
+	// bit-identity tests compare the columnar one against, and the
+	// baseline of the BenchmarkColumnarKNNExact ablation.
 	DisableColumnar bool
-	// SearchBatch is the number of leaves KNNExact scans per round before
-	// merging worker-local heaps and refreshing the shared pruning
-	// threshold. 0 means one leaf per worker (the default round size).
-	// Larger batches synchronize less but prune against a staler
-	// threshold; results are identical at every setting.
-	SearchBatch int
 	// Concurrency bounds the worker pool used throughout the index: the
 	// pairwise matrices of EM clustering during construction and splits,
 	// the centroid descent of insertion and search, and the per-leaf scans
@@ -133,15 +126,6 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	switch {
-	case c.DisableCascade:
-		if c.Metric == nil {
-			if c.Cascade != nil {
-				c.Metric = c.Cascade.Metric
-			} else {
-				c.Metric = dist.EGEDMZero
-			}
-		}
-		c.Cascade = dist.ExactOnly(c.Metric)
 	case c.Cascade != nil:
 		if c.Metric == nil {
 			c.Metric = c.Cascade.Metric

@@ -237,10 +237,7 @@ func (t *Tree[P]) KNNExactStatsCtx(ctx context.Context, bg *graph.Graph, query d
 
 	q := t.newQueryState(query)
 	h := newResultHeap[P](k)
-	batch := t.cfg.SearchBatch
-	if batch <= 0 {
-		batch = parallel.Workers(t.cfg.Concurrency)
-	}
+	batch := parallel.Workers(t.cfg.Concurrency)
 	var scanned atomic.Int64
 	type leafScan struct {
 		h  *resultHeap[P]

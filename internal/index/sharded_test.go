@@ -84,8 +84,10 @@ func TestShardedByteIdentityMatrix(t *testing.T) {
 	queries := detSequences(4, 99)
 	for _, workers := range []int{1, 4} {
 		for _, noCascade := range []bool{false, true} {
-			cfg := Config{Seed: 11, NumClusters: 2, MaxLeafEntries: 8,
-				Concurrency: workers, DisableCascade: noCascade}
+			cfg := Config{Seed: 11, NumClusters: 2, MaxLeafEntries: 8, Concurrency: workers}
+			if noCascade {
+				cfg.Cascade = dist.ExactOnly(dist.EGEDMZero)
+			}
 			ref := New[int](cfg)
 			for _, sg := range segs {
 				if err := ref.AddSegment(bgs[sg.bg], sg.items); err != nil {

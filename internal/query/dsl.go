@@ -51,8 +51,8 @@ type similarDoc struct {
 	RecallTarget float64 `json:"recall_target"`
 }
 
-// rectDoc mirrors the rectangle shape of the legacy select endpoint;
-// corners are normalized, so x0/x1 (and y0/y1) may come in either order.
+// rectDoc is a wire rectangle; corners are normalized, so x0/x1 (and
+// y0/y1) may come in either order.
 type rectDoc struct {
 	X0 float64 `json:"x0"`
 	Y0 float64 `json:"y0"`
@@ -276,8 +276,7 @@ func parseNode(raw json.RawMessage, depth int) (Node, error) {
 	}
 }
 
-// DefaultUTurn is the turn threshold of a bare {"u_turn": true} predicate
-// (and of the legacy select endpoint's u_turn flag).
+// DefaultUTurn is the turn threshold of a bare {"u_turn": true} predicate.
 const DefaultUTurn = math.Pi * 0.8
 
 // headingAngle maps a DSL direction keyword to its screen-coordinate

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,16 +11,16 @@ import (
 
 	"strgindex/internal/core"
 	"strgindex/internal/dist"
-	"strgindex/internal/geom"
 	"strgindex/internal/query"
 )
 
 // identityHarness is one server plus a reference database built from the
 // same configuration and fed the same segments in the same order. Every
-// HTTP query the test issues is mirrored by exactly one direct core call
-// on the reference, so per-database state (the distance cache) evolves in
+// HTTP query the test issues is mirrored by exactly one in-process
+// QueryComposedCtx call on the reference, so per-database state (the distance cache) evolves in
 // lockstep and stats must agree byte for byte.
 type identityHarness struct {
+	srv *Server
 	ts  *httptest.Server
 	ref *core.SharedDB
 }
@@ -29,11 +30,13 @@ func newIdentityHarness(t *testing.T, shards int, disableCascade bool) *identity
 	cfg := core.DefaultConfig()
 	cfg.Concurrency = 2
 	cfg.Index.Shards = shards
-	cfg.Index.DisableCascade = disableCascade
+	if disableCascade {
+		cfg.Index.Cascade = dist.ExactOnly(dist.EGEDMZero)
+	}
 	s := NewWith(cfg, quietOptions())
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	h := &identityHarness{ts: ts, ref: core.OpenShared(cfg)}
+	h := &identityHarness{srv: s, ts: ts, ref: core.OpenShared(cfg)}
 	for i, spec := range []struct {
 		label string
 		y     float64
@@ -47,15 +50,14 @@ func newIdentityHarness(t *testing.T, shards int, disableCascade bool) *identity
 	return h
 }
 
-// postQuery posts body to path and decodes the unified envelope, also
-// returning the response for header assertions.
-func (h *identityHarness) postQuery(t *testing.T, path string, body any) (*http.Response, queryResponse) {
+// postQuery posts one /v1/query document and decodes the envelope.
+func (h *identityHarness) postQuery(t *testing.T, body any) queryResponse {
 	t.Helper()
-	resp, raw := post(t, h.ts.URL+path, body)
+	resp, raw := post(t, h.ts.URL+"/v1/query", body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, raw)
+		t.Fatalf("POST /v1/query: status %d: %s", resp.StatusCode, raw)
 	}
-	return resp, decodeQuery(t, raw)
+	return decodeQuery(t, raw)
 }
 
 // zeroMicros strips the only nondeterministic field (stage wall time)
@@ -70,119 +72,64 @@ func zeroMicros(r queryResponse) queryResponse {
 	return r
 }
 
-// TestLegacyEndpointsByteIdentical pins the API redesign's central
-// promise at every shard count and with the lower-bound cascade both on
-// and off: the deprecated knn/range/select endpoints are pure
-// desugarings — matches AND search accounting byte-identical to the
-// direct core legacy surfaces — and the equivalent /v1/query DSL
-// document produces the identical envelope.
-func TestLegacyEndpointsByteIdentical(t *testing.T) {
-	ctx := context.Background()
+// TestQueryEnvelopeByteIdentical pins the one query surface at every
+// shard count and with the lower-bound cascade both on and off: a
+// POST /v1/query document answers exactly the envelope — matches, search
+// accounting, stages and plan — that SharedDB.QueryComposedCtx produces
+// in-process for the same parsed document on an identically built
+// database.
+func TestQueryEnvelopeByteIdentical(t *testing.T) {
 	traj := [][2]float64{{16, 120}, {106, 120}, {196, 120}}
-	seq := make(dist.Sequence, len(traj))
-	for i, p := range traj {
-		seq[i] = dist.Vec{p[0], p[1]}
+	rect := map[string]any{"x0": 140, "y0": 0, "x1": 180, "y1": 240}
+	docs := []struct {
+		name     string
+		doc      map[string]any
+		strategy query.Strategy
+	}{
+		{"knn", map[string]any{"similar": map[string]any{"trajectory": traj, "k": 3}}, query.StrategyIndex},
+		{"exact", map[string]any{"similar": map[string]any{"trajectory": traj, "k": 3, "exact": true}}, query.StrategyIndex},
+		{"range", map[string]any{"similar": map[string]any{"trajectory": traj, "radius": 4000}}, query.StrategyIndex},
+		{"select", map[string]any{"where": map[string]any{"and": []any{
+			map[string]any{"passes_through": rect},
+			map[string]any{"heading": map[string]any{"dir": "east"}},
+		}}}, ""},
+		{"composed", map[string]any{
+			"where":   map[string]any{"passes_through": rect},
+			"similar": map[string]any{"trajectory": traj, "k": 2},
+		}, ""},
 	}
 	for _, shards := range []int{1, 2, 4} {
 		for _, noCascade := range []bool{false, true} {
 			name := map[bool]string{false: "cascade", true: "exact-only"}[noCascade]
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				h := newIdentityHarness(t, shards, noCascade)
-
-				// Approximate k-NN: legacy endpoint, then its DSL spelling,
-				// each mirrored by one reference call.
-				legacyBody := map[string]any{"trajectory": traj, "k": 3}
-				dslBody := map[string]any{"similar": map[string]any{"trajectory": traj, "k": 3}}
-				resp, gotLegacy := h.postQuery(t, "/v1/query/knn", legacyBody)
-				if resp.Header.Get("Deprecation") != "true" {
-					t.Error("knn: no Deprecation header")
-				}
-				ms, st, err := h.ref.QueryTrajectoryStatsCtx(ctx, seq, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotLegacy.Matches, toMatchJSON(ms)) {
-					t.Errorf("knn matches = %+v, core = %+v", gotLegacy.Matches, toMatchJSON(ms))
-				}
-				if gotLegacy.Stats.searchStatsJSON != toStatsJSON(st) {
-					t.Errorf("knn stats = %+v, core = %+v", gotLegacy.Stats.searchStatsJSON, toStatsJSON(st))
-				}
-				if gotLegacy.Plan.Strategy != string(query.StrategyIndex) {
-					t.Errorf("knn plan strategy = %q, want index", gotLegacy.Plan.Strategy)
-				}
-				resp, gotDSL := h.postQuery(t, "/v1/query", dslBody)
-				if resp.Header.Get("Deprecation") != "" {
-					t.Error("/v1/query marked deprecated")
-				}
-				if _, st2, err := h.ref.QueryTrajectoryStatsCtx(ctx, seq, 3); err != nil {
-					t.Fatal(err)
-				} else if gotDSL.Stats.searchStatsJSON != toStatsJSON(st2) {
-					t.Errorf("knn DSL stats = %+v, core = %+v", gotDSL.Stats.searchStatsJSON, toStatsJSON(st2))
-				}
-				if !reflect.DeepEqual(zeroMicros(gotLegacy).Matches, zeroMicros(gotDSL).Matches) {
-					t.Error("knn: DSL and legacy matches differ")
-				}
-
-				// Exact k-NN.
-				_, gotExact := h.postQuery(t, "/v1/query/knn",
-					map[string]any{"trajectory": traj, "k": 3, "exact": true})
-				ems, est, err := h.ref.QueryTrajectoryExactStatsCtx(ctx, seq, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotExact.Matches, toMatchJSON(ems)) {
-					t.Errorf("exact matches = %+v, core = %+v", gotExact.Matches, toMatchJSON(ems))
-				}
-				if gotExact.Stats.searchStatsJSON != toStatsJSON(est) {
-					t.Errorf("exact stats = %+v, core = %+v", gotExact.Stats.searchStatsJSON, toStatsJSON(est))
-				}
-
-				// Range.
-				const radius = 900.0
-				_, gotRange := h.postQuery(t, "/v1/query/range",
-					map[string]any{"trajectory": traj, "radius": radius})
-				rms, rst, err := h.ref.QueryRangeStatsCtx(ctx, seq, radius)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotRange.Matches, toMatchJSON(rms)) {
-					t.Errorf("range matches = %+v, core = %+v", gotRange.Matches, toMatchJSON(rms))
-				}
-				if gotRange.Stats.searchStatsJSON != toStatsJSON(rst) {
-					t.Errorf("range stats = %+v, core = %+v", gotRange.Stats.searchStatsJSON, toStatsJSON(rst))
-				}
-				_, gotRangeDSL := h.postQuery(t, "/v1/query",
-					map[string]any{"similar": map[string]any{"trajectory": traj, "radius": radius}})
-				if _, _, err := h.ref.QueryRangeStatsCtx(ctx, seq, radius); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotRange.Matches, gotRangeDSL.Matches) {
-					t.Error("range: DSL and legacy matches differ")
-				}
-
-				// Select: legacy predicate fields vs the reference Select
-				// scan vs the DSL where tree.
-				rect := map[string]any{"x0": 140, "y0": 0, "x1": 180, "y1": 240}
-				_, gotSel := h.postQuery(t, "/v1/query/select",
-					map[string]any{"passes_through": rect, "heading": "east"})
-				want := h.ref.Select(query.And(
-					query.PassesThrough(geom.Rect{Min: geom.Pt(140, 0), Max: geom.Pt(180, 240)}),
-					query.Eastbound(0.4),
-				))
-				if !reflect.DeepEqual(gotSel.Matches, toMatchJSON(want)) {
-					t.Errorf("select matches = %+v, core Select = %+v", gotSel.Matches, toMatchJSON(want))
-				}
-				if gotSel.Limit != defaultSelectLimit {
-					t.Errorf("select limit = %d, want server default %d", gotSel.Limit, defaultSelectLimit)
-				}
-				_, gotSelDSL := h.postQuery(t, "/v1/query", map[string]any{
-					"where": map[string]any{"and": []any{
-						map[string]any{"passes_through": rect},
-						map[string]any{"heading": map[string]any{"dir": "east"}},
-					}},
-				})
-				if !reflect.DeepEqual(zeroMicros(gotSel), zeroMicros(gotSelDSL)) {
-					t.Errorf("select: DSL envelope %+v, legacy %+v", zeroMicros(gotSelDSL), zeroMicros(gotSel))
+				for _, d := range docs {
+					got := h.postQuery(t, d.doc)
+					raw, err := json.Marshal(d.doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					q, err := query.Parse(raw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if q.Similar == nil {
+						q.Limit = defaultSelectLimit // runComposed's predicate-only cap
+					}
+					res, err := h.ref.QueryComposedCtx(context.Background(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := h.srv.toQueryResponse(res)
+					if !reflect.DeepEqual(zeroMicros(got), zeroMicros(want)) {
+						t.Errorf("%s: /v1/query envelope %+v, in-process %+v", d.name, zeroMicros(got), zeroMicros(want))
+					}
+					if d.strategy != "" && got.Plan.Strategy != string(d.strategy) {
+						t.Errorf("%s: plan strategy = %q, want %q", d.name, got.Plan.Strategy, d.strategy)
+					}
+					if len(got.Matches) == 0 {
+						t.Errorf("%s: no matches; the document should hit the corpus", d.name)
+					}
 				}
 			})
 		}

@@ -52,7 +52,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// decodeQuery parses the unified /v1/query* response envelope.
+// decodeQuery parses the /v1/query response envelope.
 func decodeQuery(t *testing.T, body []byte) queryResponse {
 	t.Helper()
 	var q queryResponse
@@ -60,13 +60,6 @@ func decodeQuery(t *testing.T, body []byte) queryResponse {
 		t.Fatalf("decoding query response %s: %v", body, err)
 	}
 	return q
-}
-
-// decodeSelect parses the enveloped /v1/query/select response (the same
-// unified envelope).
-func decodeSelect(t *testing.T, body []byte) queryResponse {
-	t.Helper()
-	return decodeQuery(t, body)
 }
 
 func post(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -121,11 +114,11 @@ func TestKNNQuery(t *testing.T) {
 	ingest(t, ts, "low", 180, 1)
 	ingest(t, ts, "high", 60, 2)
 
-	resp, body := post(t, ts.URL+"/v1/query/knn", map[string]any{
+	resp, body := post(t, ts.URL+"/v1/query", map[string]any{"similar": map[string]any{
 		"trajectory": [][2]float64{{16, 60}, {160, 60}, {304, 60}},
 		"k":          1,
 		"exact":      true,
-	})
+	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -148,10 +141,10 @@ func TestKNNQuery(t *testing.T) {
 func TestRangeQuery(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingest(t, ts, "walker", 120, 1)
-	resp, body := post(t, ts.URL+"/v1/query/range", map[string]any{
+	resp, body := post(t, ts.URL+"/v1/query", map[string]any{"similar": map[string]any{
 		"trajectory": [][2]float64{{160, 120}},
 		"radius":     1e9,
-	})
+	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -164,20 +157,20 @@ func TestRangeQuery(t *testing.T) {
 func TestSelectQuery(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingest(t, ts, "walker", 120, 1)
-	resp, body := post(t, ts.URL+"/v1/query/select", map[string]any{
-		"heading":        "east",
-		"passes_through": map[string]float64{"x0": 100, "y0": 80, "x1": 220, "y1": 160},
-	})
+	resp, body := post(t, ts.URL+"/v1/query", map[string]any{"where": map[string]any{"and": []any{
+		map[string]any{"heading": map[string]any{"dir": "east"}},
+		map[string]any{"passes_through": map[string]float64{"x0": 100, "y0": 80, "x1": 220, "y1": 160}},
+	}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	sel := decodeSelect(t, body)
+	sel := decodeQuery(t, body)
 	if len(sel.Matches) != 1 || sel.Total != 1 || sel.Truncated {
 		t.Errorf("select = %+v, want 1 untruncated match (%s)", sel, body)
 	}
 	// The opposite heading matches nothing.
-	_, body = post(t, ts.URL+"/v1/query/select", map[string]any{"heading": "west"})
-	if sel := decodeSelect(t, body); len(sel.Matches) != 0 || sel.Total != 0 {
+	_, body = post(t, ts.URL+"/v1/query", map[string]any{"where": map[string]any{"heading": map[string]any{"dir": "west"}}})
+	if sel := decodeQuery(t, body); len(sel.Matches) != 0 || sel.Total != 0 {
 		t.Errorf("westbound matches = %+v, want 0", sel)
 	}
 }
@@ -187,19 +180,17 @@ func TestSelectLimitTruncates(t *testing.T) {
 	ingest(t, ts, "a", 60, 1)
 	ingest(t, ts, "b", 120, 2)
 	ingest(t, ts, "c", 180, 3)
-	resp, body := post(t, ts.URL+"/v1/query/select", map[string]any{
-		"heading": "east",
-		"limit":   2,
-	})
+	east := map[string]any{"heading": map[string]any{"dir": "east"}}
+	resp, body := post(t, ts.URL+"/v1/query", map[string]any{"where": east, "limit": 2})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	sel := decodeSelect(t, body)
+	sel := decodeQuery(t, body)
 	if len(sel.Matches) != 2 || sel.Total != 3 || !sel.Truncated || sel.Limit != 2 {
 		t.Errorf("select = %+v, want 2/3 truncated at limit 2", sel)
 	}
 	// A negative limit is rejected.
-	resp, _ = post(t, ts.URL+"/v1/query/select", map[string]any{"heading": "east", "limit": -1})
+	resp, _ = post(t, ts.URL+"/v1/query", map[string]any{"where": east, "limit": -1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative limit status = %d, want 400", resp.StatusCode)
 	}
@@ -214,10 +205,10 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"ingest empty", "/v1/segments", map[string]any{"stream": "x"}},
 		{"ingest no stream", "/v1/segments", map[string]any{"segment": testSegment(t, "a", 100, 1)}},
-		{"knn empty trajectory", "/v1/query/knn", map[string]any{"k": 3}},
-		{"range no radius", "/v1/query/range", map[string]any{"trajectory": [][2]float64{{1, 1}}}},
-		{"select no fields", "/v1/query/select", map[string]any{}},
-		{"select bad heading", "/v1/query/select", map[string]any{"heading": "up"}},
+		{"knn empty trajectory", "/v1/query", map[string]any{"similar": map[string]any{"k": 3}}},
+		{"range no radius", "/v1/query", map[string]any{"similar": map[string]any{"trajectory": [][2]float64{{1, 1}}}}},
+		{"select no fields", "/v1/query", map[string]any{}},
+		{"select bad heading", "/v1/query", map[string]any{"where": map[string]any{"heading": map[string]any{"dir": "up"}}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -241,7 +232,7 @@ func TestBadRequests(t *testing.T) {
 		})
 	}
 	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/v1/query/knn", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +245,9 @@ func TestBadRequests(t *testing.T) {
 func TestBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t)
 	// A query body over the 1 MiB query limit: a huge (valid) JSON string.
-	big := append([]byte(`{"trajectory": [[1,1]], "k": 1, "pad": "`), bytes.Repeat([]byte("x"), 2<<20)...)
+	big := append([]byte(`{"similar": {"trajectory": [[1,1]], "k": 1}, "pad": "`), bytes.Repeat([]byte("x"), 2<<20)...)
 	big = append(big, []byte(`"}`)...)
-	resp, err := http.Post(ts.URL+"/v1/query/knn", "application/json", bytes.NewReader(big))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +283,36 @@ func TestNotFoundEnvelope(t *testing.T) {
 	}
 }
 
+// TestRemovedQueryEndpoints: the per-kind query routes are gone —
+// POST /v1/query is the only query surface, and the old paths answer the
+// ordinary 404 not_found envelope.
+func TestRemovedQueryEndpoints(t *testing.T) {
+	_, ts := newTestServer(t)
+	ingest(t, ts, "walker", 120, 1)
+	bodies := map[string]any{
+		"/v1/query/knn":    map[string]any{"trajectory": [][2]float64{{16, 120}, {304, 120}}, "k": 1},
+		"/v1/query/range":  map[string]any{"trajectory": [][2]float64{{160, 120}}, "radius": 1e9},
+		"/v1/query/select": map[string]any{"heading": "east"},
+	}
+	for path, body := range bodies {
+		resp, raw := post(t, ts.URL+path, body)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404 (%s)", path, resp.StatusCode, raw)
+			continue
+		}
+		var e errorEnvelope
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("POST %s: envelope %s: %v", path, raw, err)
+		}
+		if e.Error.Code != CodeNotFound || e.Error.RequestID == "" {
+			t.Errorf("POST %s: envelope = %+v", path, e)
+		}
+	}
+}
+
 func TestMethodRouting(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/query/knn")
+	resp, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +329,10 @@ func TestConcurrentClients(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		go func() {
 			for i := 0; i < 20; i++ {
-				resp, _ := post(t, ts.URL+"/v1/query/knn", map[string]any{
+				resp, _ := post(t, ts.URL+"/v1/query", map[string]any{"similar": map[string]any{
 					"trajectory": [][2]float64{{16, 120}, {304, 120}},
 					"k":          2,
-				})
+				}})
 				if resp.StatusCode != http.StatusOK {
 					done <- fmt.Errorf("status %d", resp.StatusCode)
 					return
@@ -344,10 +362,10 @@ func TestNewFromReader(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(loaded)
 	defer ts2.Close()
-	resp, body := post(t, ts2.URL+"/v1/query/knn", map[string]any{
+	resp, body := post(t, ts2.URL+"/v1/query", map[string]any{"similar": map[string]any{
 		"trajectory": [][2]float64{{16, 120}, {304, 120}},
 		"k":          1,
-	})
+	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -362,7 +380,7 @@ func TestNewFromReader(t *testing.T) {
 
 func TestMethodNotAllowedEnvelope(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/query/knn")
+	resp, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,20 +404,19 @@ func TestSelectSpeedAndFrames(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingest(t, ts, "walker", 120, 1)
 	min := 5.0
-	resp, body := post(t, ts.URL+"/v1/query/select", map[string]any{
-		"min_speed":  min,
-		"frame_from": 0,
-		"frame_to":   100,
-	})
+	resp, body := post(t, ts.URL+"/v1/query", map[string]any{"where": map[string]any{"and": []any{
+		map[string]any{"speed": map[string]any{"min": min}},
+		map[string]any{"during": map[string]any{"from": 0, "to": 100}},
+	}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	if sel := decodeSelect(t, body); len(sel.Matches) != 1 {
+	if sel := decodeQuery(t, body); len(sel.Matches) != 1 {
 		t.Errorf("matches = %d, want 1 (%s)", len(sel.Matches), body)
 	}
 	// Impossible speed band.
-	_, body = post(t, ts.URL+"/v1/query/select", map[string]any{"min_speed": 1e6})
-	if sel := decodeSelect(t, body); len(sel.Matches) != 0 {
+	_, body = post(t, ts.URL+"/v1/query", map[string]any{"where": map[string]any{"speed": map[string]any{"min": 1e6}}})
+	if sel := decodeQuery(t, body); len(sel.Matches) != 0 {
 		t.Errorf("impossible speed matched %d", len(sel.Matches))
 	}
 }
